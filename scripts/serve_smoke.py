@@ -5,7 +5,8 @@ Starts the daemon as a subprocess on an ephemeral port, submits a
 rob-scaling sweep at a small instruction budget through the ``repro
 submit`` CLI, follows with a cell-document submission of a wish-branch
 cell (the non-paper scheme kinds go through the same submit path), polls
-both to completion, then sends SIGTERM and asserts the daemon exits
+both to completion, re-submits the wish-cell document (its footer must
+report ``0 simulated``: a fully cached round trip), then sends SIGTERM and asserts the daemon exits
 cleanly (status 0).  A *second* daemon is then started over
 the same cache directory: its job journal must list the first daemon's
 job as done (``recovered``) and still serve its result — the restart
@@ -65,6 +66,33 @@ def stop_daemon(daemon):
         return None
     print(daemon.stdout.read(), end="")
     return code
+
+
+def submit_file(path, url, env):
+    """Run ``repro submit`` on a job-document file; echo and return the run."""
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "submit",
+            path,
+            "--url",
+            url,
+            "--timeout",
+            "300",
+            "--retries",
+            "3",
+        ],
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=420,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    print(run.stdout, end="")
+    return run
 
 
 def get_json(url):
@@ -134,36 +162,28 @@ def main() -> int:
             )
             cells_path = handle.name
         try:
-            wish = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "submit",
-                    cells_path,
-                    "--url",
-                    url,
-                    "--timeout",
-                    "300",
-                    "--retries",
-                    "3",
-                ],
-                env=env,
-                cwd=REPO_ROOT,
-                timeout=420,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-            )
+            wish = submit_file(cells_path, url, env)
+            # The same document again: served whole from the store,
+            # through the daemon's cached long-poll path.
+            again = submit_file(cells_path, url, env)
         finally:
             os.unlink(cells_path)
-        print(wish.stdout, end="")
         if wish.returncode != 0:
             print(f"FAIL: wish-cell submit exited {wish.returncode}", file=sys.stderr)
             return 1
         if "wish" not in wish.stdout:
             print(
                 "FAIL: wish-cell result does not mention the wish scheme",
+                file=sys.stderr,
+            )
+            return 1
+        if again.returncode != 0:
+            print(f"FAIL: repeated wish-cell submit exited {again.returncode}", file=sys.stderr)
+            return 1
+        if not re.search(r"\b0 simulated\b", again.stdout):
+            print(
+                "FAIL: repeated wish-cell submit simulated again "
+                "(footer does not report '0 simulated')",
                 file=sys.stderr,
             )
             return 1

@@ -2,7 +2,8 @@
 
 :class:`ServeClient` wraps the versioned JSON API in plain method calls —
 :meth:`~ServeClient.submit` a scenario/cells document, poll
-:meth:`~ServeClient.job`, block with :meth:`~ServeClient.wait`, fetch the
+:meth:`~ServeClient.job`, block with :meth:`~ServeClient.wait` (a
+server-side long-poll, not a sleep loop), fetch the
 rendered :meth:`~ServeClient.result` — using only :mod:`urllib.request`,
 so a client needs nothing beyond the standard library::
 
@@ -25,8 +26,8 @@ Submissions (POSTs) are never retried by this layer: the daemon's request
 coalescing makes an *intentional* duplicate submission cheap, but a blind
 retry could still double-submit, so exactly-once stays the caller's call.
 :meth:`~ServeClient.wait` additionally tolerates transient connection
-errors between polls regardless of ``retries``, honouring only its own
-deadline.
+errors regardless of ``retries`` — spacing its retries by
+``poll_interval`` — honouring only its own deadline.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import faults
 from repro.log import get_logger
-from repro.serve.service import DONE, FAILED
+from repro.serve.service import DONE, FAILED, MAX_WAIT_S
 
 _log = get_logger(__name__)
 
@@ -161,28 +162,43 @@ class ServeClient:
     def wait(
         self, job_id: str, timeout: Optional[float] = None, poll_interval: float = 0.2
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its snapshot.
+        """Block until the job reaches a terminal state; return its snapshot.
 
-        A transient connection error on one poll does not abort the wait —
-        the daemon may be mid-restart or the network mid-hiccup; polling
-        simply continues.  Raises :class:`ServeError` (status 0) if
+        Each request is a long-poll (``GET /v1/jobs/<id>?wait=S``): the
+        daemon answers as soon as the job finishes, or after ``S`` seconds
+        with the snapshot as it stands.  ``S`` never exceeds the remaining
+        ``timeout`` and stays below this client's socket ``timeout``, so a
+        finished job costs exactly one request and a running one a request
+        per ``S`` seconds.
+
+        A transient connection error on one request does not abort the
+        wait — the daemon may be mid-restart or the network mid-hiccup; the
+        wait retries after ``poll_interval`` seconds (which spaces only
+        these retries).  Raises :class:`ServeError` (status 0) if
         ``timeout`` seconds elapse first (with no timeout, a daemon that
-        never comes back means polling forever — pass a timeout when the
+        never comes back means retrying forever — pass a timeout when the
         daemon's liveness is in question).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         state = "unknown"
         while True:
+            # Half the socket timeout leaves the daemon room to answer.
+            wait = min(MAX_WAIT_S, self.timeout / 2)
+            if deadline is not None:
+                wait = max(0.0, min(wait, deadline - time.monotonic()))
             try:
-                snapshot = self.job(job_id)
+                # Not self.job(): subclasses may override it with its
+                # one-argument signature, and it is a plain status poll.
+                snapshot = self._request(f"/v1/jobs/{job_id}?wait={wait:.3f}")
             except ServeError as error:
                 if error.status != 0:
                     raise  # The daemon answered: a real API error.
                 _log.info(
-                    "poll for job %s failed (%s); continuing to poll",
+                    "wait for job %s failed (%s); retrying",
                     job_id,
                     error.message,
                 )
+                time.sleep(poll_interval)
             else:
                 state = snapshot["state"]
                 if state in _TERMINAL_STATES:
@@ -191,4 +207,3 @@ class ServeClient:
                 raise ServeError(
                     0, f"timed out waiting for job {job_id} (state: {state})"
                 )
-            time.sleep(poll_interval)

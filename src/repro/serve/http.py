@@ -10,6 +10,9 @@ A deliberately small, versioned HTTP+JSON API over
 ``GET /v1/jobs``                list every job's status snapshot
 ``GET /v1/jobs/<id>``           one job's status, with per-job
                                 ``EngineStats`` and ``JobTiming`` records
+``GET /v1/jobs/<id>?wait=S``    the same, after blocking until the job
+                                is done/failed or ``min(S, MAX_WAIT_S)``
+                                seconds pass (a long-poll)
 ``GET /v1/jobs/<id>/result``    the finished job's result — rendered
                                 table (``?format=table``, the default,
                                 as ``text/plain``) or raw counters
@@ -23,7 +26,8 @@ A deliberately small, versioned HTTP+JSON API over
 ==============================  =======================================
 
 Errors are JSON too: ``400`` for invalid documents (the
-:class:`~repro.serve.service.SubmitError` message verbatim), ``404`` for
+:class:`~repro.serve.service.SubmitError` message verbatim) or a negative or
+non-numeric ``wait``, ``404`` for
 unknown paths/ids, ``409`` for a result requested before the job finished.
 
 :func:`make_server` binds (port ``0`` picks a free port — the chosen one is
@@ -41,7 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.serve.service import DONE, ExperimentService, SubmitError
+from repro.serve.service import DONE, MAX_WAIT_S, ExperimentService, SubmitError
 
 #: The API version prefix every route lives under.
 API_VERSION = "v1"
@@ -63,6 +67,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate small writes; without TCP_NODELAY
+    # Nagle's algorithm holds the body back for the peer's delayed ACK
+    # (~40 ms per response on a keep-alive connection).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -139,6 +147,18 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"unknown job id {route[1]!r}")
                 return
             if len(route) == 2:
+                waits = parse_qs(parsed.query, keep_blank_values=True).get("wait")
+                if waits:
+                    try:
+                        wait = float(waits[-1])
+                    except ValueError:
+                        wait = -1.0
+                    if not wait >= 0:  # also rejects NaN
+                        self._error(
+                            400, f"'wait' must be a non-negative number, got {waits[-1]!r}"
+                        )
+                        return
+                    record.done_event.wait(min(wait, MAX_WAIT_S))
                 self._send(200, record.snapshot())
                 return
             if len(route) == 3 and route[2] == "result":

@@ -47,6 +47,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.executor import ExecutionEngine
@@ -64,6 +65,10 @@ QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
+
+#: Server-side cap, in seconds, on one long-poll status request
+#: (``GET /v1/jobs/<id>?wait=S`` blocks for at most ``min(S, MAX_WAIT_S)``).
+MAX_WAIT_S = 10.0
 
 #: Scheme kinds a cell document may request (mirrors the factory registry,
 #: :data:`repro.experiments.setup.SCHEME_FACTORIES`).
@@ -291,11 +296,35 @@ def _parse_scheme(raw: Any, what: str) -> SchemeSpec:
             f"{what}: unknown scheme kind {kind!r}; expected one of {_SCHEME_KINDS}"
         )
     spec = SchemeSpec.make(kind, **dict(options))
+    # Surface bad option names/values at submit time.  The memo is keyed on
+    # each option's type as well as its value, so ``1`` never vouches for
+    # ``1.0`` or ``True``; unhashable values (JSON lists/objects) have no
+    # key and build every time.
+    key = (kind, tuple((name, type(value), value) for name, value in spec.options))
     try:
-        spec.build()  # surface bad option names/values at submit time
+        hash(key)
+    except TypeError:
+        key = None
+    try:
+        if key is None:
+            spec.build()
+        else:
+            _validate_scheme(key)
     except (TypeError, ValueError) as error:
         raise SubmitError(f"{what}.scheme: {error}") from None
     return spec
+
+
+@lru_cache(maxsize=256)
+def _validate_scheme(key: Tuple[str, Tuple[Tuple[str, type, Any], ...]]) -> None:
+    """Build the scheme ``key`` denotes once; only successes are memoised.
+
+    Building a scheme allocates its predictor tables (milliseconds for
+    PEP-PA), so repeated submissions of the same spec skip it.  A build that
+    raises leaves no cache entry, so a bad option is rejected every time.
+    """
+    kind, options = key
+    SchemeSpec.make(kind, **{name: value for name, _, value in options}).build()
 
 
 def _parse_machine(raw: Any, what: str) -> MachineSpec:
@@ -688,7 +717,8 @@ class ExperimentService:
 
     def _execute(self, record: JobRecord) -> None:
         with self._lock:
-            parsed = self._parsed[record.id]
+            # Dropped here: a finished job keeps only its record.
+            parsed = self._parsed.pop(record.id)
         record.state = RUNNING
         record.started = time.time()
         if self.journal is not None:

@@ -16,7 +16,8 @@ Resolution is a pure function of the name string (plus the file contents it
 denotes), so worker processes resolve the same string to the same workload
 without any registration handshake.  File-backed definitions are re-read on
 every resolve — the files are small, and it is exactly what makes an edited
-spec show up immediately.
+spec show up immediately.  Built-in definitions are frozen, so each is
+resolved (and fingerprinted) once per process.
 
 Every definition carries a **content fingerprint** that the binary factory
 folds into engine cache keys (:meth:`repro.compiler.binaries.BinaryFactory.
@@ -34,6 +35,7 @@ import difflib
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional
 
 from repro.program.program import Program
@@ -118,7 +120,10 @@ def is_workload_path(name: str) -> bool:
     return os.sep in name or name.endswith(SPEC_EXTENSIONS + TRACE_EXTENSIONS)
 
 
+@lru_cache(maxsize=None)
 def _builtin_definition(name: str) -> WorkloadDefinition:
+    # Memoised per name: built-in traits are frozen, so their fingerprint
+    # never changes within a process (file-backed workloads are re-read).
     traits = SPEC_SUITE[name]
     return WorkloadDefinition(
         name=name,

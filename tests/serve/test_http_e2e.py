@@ -9,7 +9,9 @@ share one set of simulations — the engine stats of one job show
 
 from __future__ import annotations
 
+import http.client
 import threading
+import time
 
 import pytest
 
@@ -17,6 +19,9 @@ from repro.client import ServeClient, ServeError
 from repro.engine.store import ArtifactStore
 from repro.serve import make_server, serve_until_shutdown
 from repro.serve.service import ExperimentService
+
+#: One cached-after-first-run cell, for the long-poll tests.
+ONE_CELL = {"cells": [{"benchmark": "gzip", "scheme": "conventional"}], "instructions": 1500}
 
 #: Small but real: rob-scaling at 2000 instructions is 24 simulations
 #: (4 rob sizes x 2 schemes x 3 benchmarks) over 3 builds/traces.
@@ -145,3 +150,110 @@ class TestCoalescing:
         table_b = client.result(second["id"])
         assert "rob-scaling" in table_a
         assert body(table_a) == body(table_b)
+
+
+@pytest.fixture
+def gate(client, monkeypatch):
+    """Warm the store with ``ONE_CELL``, then hold every later job at its
+    start until the returned event is set (the run itself is a cache hit)."""
+    import repro.serve.service as service_mod
+
+    warm = client.wait(client.submit(ONE_CELL)["id"], timeout=120)
+    assert warm["state"] == "done", warm["error"]
+    release = threading.Event()
+    real_run_cells = service_mod.run_cells
+
+    def gated_run_cells(*args, **kwargs):
+        assert release.wait(60), "gate never released"
+        return real_run_cells(*args, **kwargs)
+
+    monkeypatch.setattr(service_mod, "run_cells", gated_run_cells)
+    yield release
+    release.set()
+
+
+class TestLongPoll:
+    def test_returns_promptly_when_the_job_finishes(self, client, gate):
+        job = client.submit(ONE_CELL)
+        box = {}
+
+        def poll():
+            box["snapshot"] = client._request(f"/v1/jobs/{job['id']}?wait=30")
+            box["at"] = time.monotonic()
+
+        thread = threading.Thread(target=poll)
+        thread.start()
+        time.sleep(0.3)
+        assert thread.is_alive()  # blocked on the unfinished job
+        released = time.monotonic()
+        gate.set()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert box["snapshot"]["state"] == "done"
+        assert box["at"] - released < 5.0  # well before the 10 s server cap
+
+    def test_returns_the_unfinished_snapshot_after_wait(self, client, gate):
+        job = client.submit(ONE_CELL)
+        started = time.monotonic()
+        snapshot = client._request(f"/v1/jobs/{job['id']}?wait=0.3")
+        assert time.monotonic() - started >= 0.3
+        assert snapshot["state"] in ("queued", "running")
+
+    def test_unknown_id_is_404(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client._request("/v1/jobs/nope?wait=5")
+        assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("wait", ["-1", "soon", "nan", ""])
+    def test_bad_wait_is_400(self, client, wait):
+        job = client.submit(ONE_CELL)
+        with pytest.raises(ServeError) as excinfo:
+            client._request(f"/v1/jobs/{job['id']}?wait={wait}")
+        assert excinfo.value.status == 400
+        assert "wait" in excinfo.value.message
+        client.wait(job["id"], timeout=120)
+
+    def test_client_wait_on_a_finished_job_is_one_request(self, client):
+        job_id = client.submit(ONE_CELL)["id"]
+        client.wait(job_id, timeout=120)
+
+        class CountingClient(ServeClient):
+            requests = 0
+
+            def _request(self, path, payload=None):
+                self.requests += 1
+                return super()._request(path, payload)
+
+        counting = CountingClient(client.base_url, timeout=30)
+        assert counting.wait(job_id, timeout=30)["state"] == "done"
+        assert counting.requests == 1
+
+    def test_wait_works_with_a_one_argument_job_override(self, client):
+        class PollCountingClient(ServeClient):
+            polls = 0
+
+            def job(self, job_id):
+                self.polls += 1
+                return super().job(job_id)
+
+        counting = PollCountingClient(client.base_url, timeout=30)
+        job = counting.submit(ONE_CELL)
+        assert counting.wait(job["id"], timeout=120)["state"] == "done"
+        assert counting.job(job["id"])["state"] == "done"
+
+
+class TestKeepAlive:
+    def test_requests_on_one_connection_do_not_stall(self, server):
+        # Nagle plus delayed ACK used to hold each response ~40 ms.
+        connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+        try:
+            started = time.monotonic()
+            for _ in range(20):
+                connection.request("GET", "/v1/jobs")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.monotonic() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4  # 20 x 40 ms would be 0.8 s

@@ -35,6 +35,16 @@ def store(tmp_path):
 
 
 @pytest.fixture
+def fresh_scheme_memo():
+    """An empty scheme-validation memo, emptied again afterwards."""
+    from repro.serve.service import _validate_scheme
+
+    _validate_scheme.cache_clear()
+    yield
+    _validate_scheme.cache_clear()
+
+
+@pytest.fixture
 def service(store):
     service = ExperimentService(store, jobs=1, workers=2)
     yield service
@@ -130,6 +140,52 @@ class TestParseSubmission:
         with pytest.raises(SubmitError, match="scheme"):
             parse_submission(document)
 
+    @pytest.mark.parametrize("bad", [3, [3]])  # hashable and unhashable values
+    def test_invalid_scheme_option_rejected_on_every_repeat(self, bad):
+        document = {
+            "cells": [
+                {"benchmark": "gzip", "scheme": {"kind": "pep-pa", "options": {"bogus": bad}}}
+            ]
+        }
+        for _ in range(3):
+            with pytest.raises(SubmitError, match="scheme"):
+                parse_submission(document)
+
+    def test_valid_scheme_built_at_most_once(self, monkeypatch, fresh_scheme_memo):
+        from repro.engine.jobs import SchemeSpec
+
+        built = []
+        original = SchemeSpec.build
+
+        def counting_build(spec):
+            built.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(SchemeSpec, "build", counting_build)
+        document = {"cells": [{"benchmark": "gzip", "scheme": "pep-pa"}]}
+        for _ in range(3):
+            parse_submission(document)
+        assert len(built) == 1
+
+    def test_scheme_memo_distinguishes_option_types(self, monkeypatch, fresh_scheme_memo):
+        # 1 == 1.0 == True, but a success memoised for ``1`` must not vouch
+        # for ``1.0``: here only integer-valued options build.
+        from repro.engine.jobs import SchemeSpec
+
+        def int_only_build(spec):
+            if any(isinstance(value, float) for _, value in spec.options):
+                raise TypeError("float option")
+
+        monkeypatch.setattr(SchemeSpec, "build", int_only_build)
+
+        def document(value):
+            scheme = {"kind": "conventional", "options": {"knob": value}}
+            return {"cells": [{"benchmark": "gzip", "scheme": scheme}]}
+
+        parse_submission(document(1))
+        with pytest.raises(SubmitError, match="float option"):
+            parse_submission(document(1.0))
+
 
 class TestService:
     def test_needs_a_store(self):
@@ -145,6 +201,11 @@ class TestService:
         assert len(finished.result_json) == 2
         assert "gzip" in finished.result_text
         assert finished.timings
+
+    def test_parsed_requests_dropped_when_job_starts(self, service):
+        record = service.wait(service.submit(TWO_CELLS).id, timeout=120)
+        assert record.state == DONE, record.error
+        assert service._parsed == {}
 
     def test_unknown_job_id_raises(self, service):
         with pytest.raises(KeyError):
