@@ -35,7 +35,7 @@ consumer-triggered repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.emulator.executor import DynInst
 from repro.isa.compare import CompareInstruction
@@ -86,13 +86,21 @@ class PredicateSchemeOptions:
     second_level: str = "perceptron"
 
 
-@dataclass
-class _PendingPrediction:
-    """Book-keeping attached to each predicted compare target."""
+def compare_targets(inst, pc: int, predictor) -> Tuple[Tuple[int, int, int], ...]:
+    """``(slot, logical index, predictor index)`` per predictable target.
 
-    entry: PPRFEntry
-    slot: int
-    history_at_prediction: int
+    Slot 0 is the true-sense target ``pt``, slot 1 the false-sense ``pf``;
+    hardwired targets (``p0``) are skipped and a non-compare has none.  The
+    predictor index (``predictor.index_for_slot``) is a pure function of
+    ``(pc, slot)``, so schemes memoise the whole tuple per static compare.
+    """
+    if not isinstance(inst, CompareInstruction):
+        return ()
+    return tuple(
+        (slot, target.index, predictor.index_for_slot(pc, slot))
+        for slot, target in enumerate((inst.pt, inst.pf))
+        if not target.is_hardwired
+    )
 
 
 class PredicatePredictionScheme(BranchHandlingScheme):
@@ -143,40 +151,48 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         self._logical_values: List[bool] = [False] * NUM_PREDICATE_REGISTERS
         self._logical_values[0] = True
         #: Predictions awaiting their compare's execution, keyed by the
-        #: compare's dynamic sequence number.
-        self._pending: Dict[int, List[_PendingPrediction]] = {}
+        #: compare's dynamic sequence number: one ``(entry, slot, history at
+        #: prediction)`` per predicted target.
+        self._pending: Dict[int, List[Tuple[PPRFEntry, int, int]]] = {}
+        #: Memo of :func:`compare_targets` per static instruction (``uid``).
+        self._targets: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
 
     # ------------------------------------------------------------------
     # Compare handling: produce predictions
     # ------------------------------------------------------------------
     def on_compare_rename(self, dyn: DynInst, fetch_cycle: int, rename_cycle: int) -> None:
         inst = dyn.inst
-        if not isinstance(inst, CompareInstruction):
+        pc = dyn.pc
+        predictor = self.predictor
+        targets = self._targets.get(inst.uid)
+        if targets is None:
+            targets = self._targets[inst.uid] = compare_targets(inst, pc, predictor)
+        if not targets:
             return
-        pending: List[_PendingPrediction] = []
-        for slot, target in enumerate((inst.pt, inst.pf)):
-            if target.is_hardwired:
-                continue
-            history = self.ghr.value
-            predicted, _output = self.predictor.predict_slot(dyn.pc, slot, history)
-            entry = self.pprf.allocate(target.index, dyn.pc, slot, dyn.seq)
+        seq = dyn.seq
+        ghr = self.ghr
+        perfect_history = self.options.perfect_history
+        pending = []
+        for slot, logical, index in targets:
+            history = ghr.value
+            predicted, _output = predictor.predict_slot(pc, slot, history)
+            entry = self.pprf.allocate(logical, pc, slot, seq)
             entry.predicted_value = predicted
             entry.predicted_cycle = rename_cycle
-            entry.predictor_index = self.predictor.index_for_slot(dyn.pc, slot)
-            entry.confident = self.confidence.is_confident(entry.predictor_index)
+            entry.predictor_index = index
+            entry.confident = self.confidence.is_confident(index)
             entry.speculative = True
             # Speculative history update: one bit per predicted target.  With
             # the perfect-history idealization the architecturally-correct
             # value is pushed instead, eliminating the corruption window.
-            if self.options.perfect_history:
-                pushed = self._computed_value_for(dyn, target.index)
+            if perfect_history:
+                pushed = self._computed_value_for(dyn, logical)
             else:
                 pushed = predicted
-            entry.history_token = self.ghr.push(pushed)
-            pending.append(_PendingPrediction(entry, slot, history))
-            self.counters.bump("predicate_predictions")
-        if pending:
-            self._pending[dyn.seq] = pending
+            entry.history_token = ghr.push(pushed)
+            pending.append((entry, slot, history))
+        self._pending[seq] = pending
+        self.counters.bump("predicate_predictions", len(pending))
 
     def _computed_value_for(self, dyn: DynInst, logical_index: int) -> bool:
         for index, value in dyn.pred_writes:
@@ -188,34 +204,44 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         pending = self._pending.pop(dyn.seq, None)
         if pending is None:
             return
-        for item in pending:
-            entry = item.entry
-            computed = self._computed_value_for(dyn, entry.logical_index)
+        writes = dyn.pred_writes
+        logical_values = self._logical_values
+        repair_history = not self.options.perfect_history
+        wrong = 0
+        repaired = 0
+        for entry, slot, history in pending:
+            logical = entry.logical_index
+            computed = logical_values[logical]
+            for index, value in writes:
+                if index == logical:
+                    computed = value
+                    break
             entry.computed_value = computed
             entry.computed_cycle = complete_cycle
             entry.speculative = False
             correct = entry.predicted_value == computed
-            if entry.predictor_index is not None:
-                self.confidence.record(entry.predictor_index, correct)
-            self.predictor.update_slot(
-                entry.producer_pc, item.slot, item.history_at_prediction, computed
-            )
-            if correct:
-                self.counters.bump("predicate_predictions_correct")
-            else:
-                self.counters.bump("predicate_predictions_wrong")
+            self.confidence.record(entry.predictor_index, correct)
+            self.predictor.update_slot(entry.producer_pc, slot, history, computed)
+            if not correct:
+                wrong += 1
                 # The computed value corrects the speculatively-pushed history
                 # bit (if it is still within the register).  Compares fetched
                 # between the wrong prediction and this point have already
                 # predicted with the corrupted bit — that window is the
                 # negative effect quantified in sections 4.2/4.3.
-                if not self.options.perfect_history and entry.history_token is not None:
-                    if self.ghr.repair(entry.history_token, computed):
-                        self.counters.bump("history_repairs_at_writeback")
+                if repair_history and self.ghr.repair(entry.history_token, computed):
+                    repaired += 1
+        counters = self.counters
+        if wrong < len(pending):
+            counters.bump("predicate_predictions_correct", len(pending) - wrong)
+        if wrong:
+            counters.bump("predicate_predictions_wrong", wrong)
+        if repaired:
+            counters.bump("history_repairs_at_writeback", repaired)
         # Track committed logical values (trace is the correct path, so every
         # architectural write eventually commits).
-        for index, value in dyn.pred_writes:
-            self._logical_values[index] = value
+        for index, value in writes:
+            logical_values[index] = value
 
     # ------------------------------------------------------------------
     # Branch handling: consume predictions

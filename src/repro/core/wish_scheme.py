@@ -30,11 +30,9 @@ rename cycle, so the lane-batched kernel runs wish lanes as hook lanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.emulator.executor import DynInst
-from repro.isa.compare import CompareInstruction
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
 from repro.pipeline.scheme_api import (
     BranchHandling,
@@ -42,6 +40,7 @@ from repro.pipeline.scheme_api import (
     PredicatedHandling,
 )
 from repro.pipeline.uop import RenameDecision
+from repro.core.predicate_scheme import compare_targets
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister
@@ -53,26 +52,6 @@ from repro.predictors.predicate_perceptron import (
 )
 from repro.predictors.tage import TAGEConfig, TAGEPredictor
 from repro.stats.accuracy import BranchRecord
-
-
-@dataclass
-class _GuardState:
-    """The in-flight guard prediction of one logical predicate register."""
-
-    producer_seq: int
-    predicted: bool
-    confident: bool
-
-
-@dataclass
-class _PendingGuard:
-    """Training book-keeping for one predicted compare target."""
-
-    logical_index: int
-    slot: int
-    history_at_prediction: int
-    predicted: bool
-    confidence_index: int
 
 
 class WishBranchScheme(BranchHandlingScheme):
@@ -124,10 +103,15 @@ class WishBranchScheme(BranchHandlingScheme):
         #: Committed values of the logical predicate registers.
         self._logical_values: List[bool] = [False] * NUM_PREDICATE_REGISTERS
         self._logical_values[0] = True
-        #: Latest in-flight guard prediction per logical predicate register.
-        self._inflight: Dict[int, _GuardState] = {}
-        #: Guard training state keyed by the compare's sequence number.
-        self._pending_guards: Dict[int, List[_PendingGuard]] = {}
+        #: Latest in-flight guard prediction per logical predicate register:
+        #: ``(predicted, confident)``.
+        self._inflight: Dict[int, Tuple[bool, bool]] = {}
+        #: Guard training state keyed by the compare's sequence number: one
+        #: ``(logical index, slot, history at prediction, predicted,
+        #: confidence index)`` per predicted target.
+        self._pending_guards: Dict[int, List[Tuple[int, int, int, bool, int]]] = {}
+        #: Memo of :func:`compare_targets` per static instruction (``uid``).
+        self._targets: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         #: Branch training state keyed by the branch's sequence number.
         self._pending_branches: Dict[int, Tuple[int, int, bool]] = {}
 
@@ -136,56 +120,47 @@ class WishBranchScheme(BranchHandlingScheme):
     # ------------------------------------------------------------------
     def on_compare_rename(self, dyn: DynInst, fetch_cycle: int, rename_cycle: int) -> None:
         inst = dyn.inst
-        if not isinstance(inst, CompareInstruction):
+        pc = dyn.pc
+        predictor = self.guard_predictor
+        targets = self._targets.get(inst.uid)
+        if targets is None:
+            targets = self._targets[inst.uid] = compare_targets(inst, pc, predictor)
+        if not targets:
             return
-        pending: List[_PendingGuard] = []
-        for slot, target in enumerate((inst.pt, inst.pf)):
-            if target.is_hardwired:
-                continue
-            history = self.guard_ghr.value
-            predicted, _output = self.guard_predictor.predict_slot(dyn.pc, slot, history)
-            confidence_index = self.guard_predictor.index_for_slot(dyn.pc, slot)
-            self._inflight[target.index] = _GuardState(
-                producer_seq=dyn.seq,
-                predicted=predicted,
-                confident=self.confidence.is_confident(confidence_index),
-            )
-            pending.append(
-                _PendingGuard(
-                    logical_index=target.index,
-                    slot=slot,
-                    history_at_prediction=history,
-                    predicted=predicted,
-                    confidence_index=confidence_index,
-                )
-            )
-            self.counters.bump("wish_guard_predictions")
-        if pending:
-            self._pending_guards[dyn.seq] = pending
-
-    def _computed_value_for(self, dyn: DynInst, logical_index: int) -> bool:
-        for index, value in dyn.pred_writes:
-            if index == logical_index:
-                return value
-        return self._logical_values[logical_index]
+        history = self.guard_ghr.value  # no speculative push between targets
+        inflight = self._inflight
+        pending = []
+        for slot, logical, confidence_index in targets:
+            predicted, _output = predictor.predict_slot(pc, slot, history)
+            inflight[logical] = (predicted, self.confidence.is_confident(confidence_index))
+            pending.append((logical, slot, history, predicted, confidence_index))
+        self._pending_guards[dyn.seq] = pending
+        self.counters.bump("wish_guard_predictions", len(pending))
 
     def on_compare_complete(self, dyn: DynInst, complete_cycle: int) -> None:
+        writes = dyn.pred_writes
+        logical_values = self._logical_values
         pending = self._pending_guards.pop(dyn.seq, None)
         if pending is not None:
-            for item in pending:
-                computed = self._computed_value_for(dyn, item.logical_index)
-                correct = item.predicted == computed
-                self.confidence.record(item.confidence_index, correct)
-                self.guard_predictor.update_slot(
-                    dyn.pc, item.slot, item.history_at_prediction, computed
-                )
+            wrong = 0
+            for logical, slot, history, predicted, confidence_index in pending:
+                computed = logical_values[logical]
+                for index, value in writes:
+                    if index == logical:
+                        computed = value
+                        break
+                correct = predicted == computed
+                self.confidence.record(confidence_index, correct)
+                self.guard_predictor.update_slot(dyn.pc, slot, history, computed)
                 self.guard_ghr.push_resolved(computed)
-                if correct:
-                    self.counters.bump("wish_guard_predictions_correct")
-                else:
-                    self.counters.bump("wish_guard_predictions_wrong")
-        for index, value in dyn.pred_writes:
-            self._logical_values[index] = value
+                if not correct:
+                    wrong += 1
+            if wrong < len(pending):
+                self.counters.bump("wish_guard_predictions_correct", len(pending) - wrong)
+            if wrong:
+                self.counters.bump("wish_guard_predictions_wrong", wrong)
+        for index, value in writes:
+            logical_values[index] = value
 
     # ------------------------------------------------------------------
     # Predicated instructions: the wish gate
@@ -208,13 +183,12 @@ class WishBranchScheme(BranchHandlingScheme):
             decision = RenameDecision.ASSUME_TRUE if actual else RenameDecision.CANCEL
             return PredicatedHandling(decision)
 
-        if guard.confident:
+        predicted, confident = guard
+        if confident:
             # Branch mode: speculate on the predicted guard like a branch.
             self.counters.bump("wish_branch_mode")
-            decision = (
-                RenameDecision.ASSUME_TRUE if guard.predicted else RenameDecision.CANCEL
-            )
-            if guard.predicted == actual:
+            decision = RenameDecision.ASSUME_TRUE if predicted else RenameDecision.CANCEL
+            if predicted == actual:
                 return PredicatedHandling(decision)
             # Wrong guess: the flush is discovered when the producing
             # compare computes the true guard value.

@@ -18,7 +18,10 @@ runs all cells of one :class:`~repro.emulator.tracepack.TracePack` as
   traffic), load/store unit, issue queues, ROB window, register timing and
   functional-unit slots.
 
-Lanes come in two tiers:
+Every lane runs the same timing loop, :func:`_run_lane`, over the shared
+row lists and decode records, with fetch, rename and commit held in
+locals.  Lanes differ only in where each conditional branch takes its
+decision from:
 
 * **Stream lanes** — schemes that declare
   :attr:`~repro.pipeline.scheme_api.BranchHandlingScheme.timing_independent`
@@ -26,14 +29,16 @@ Lanes come in two tiers:
   function of the branch rows, so it is replayed *once per scheme spec* in
   a prepass (the **decision stream**: per-conditional-branch override and
   mispredict flags) and shared by every machine lane of that spec.  The
-  timing loop for these lanes (:func:`_run_stream_lane`) makes no scheme
-  calls at all: it reads two precomputed flags per conditional branch and
-  keeps the fetch engine and rename slotter inlined as locals.
-* **Hook lanes** — timing-dependent schemes (predicate prediction, PEP-PA
-  read producer/consumer cycles).  These run the *scalar* fast loop with a
-  per-lane scheme over a shared-column cursor, so their semantics are the
-  scalar path's by construction; they still save the per-lane column
-  decode.
+  loop makes no scheme calls at all for these lanes.
+* **Hook lanes** — every other scheme (predicate prediction, wish
+  branches, PEP-PA, predicate-aware).  Branch decisions come from the live
+  ``on_branch_rename``/``on_branch_resolved`` hooks; compare and
+  predicated-rename hooks are called only when the scheme overrides the
+  base-class no-op, and the shared :class:`PackCursor` is filled only for
+  rows that reach a hook.  A scheme that overrides ``on_fetch`` observes
+  every row and keeps the scalar fast loop
+  (:meth:`~repro.pipeline.core.OutOfOrderCore._run_fast`) over a
+  shared-column cursor.
 
 When a batch carries several *distinct* stream specs with the same
 predictor geometry (``lane_bank_profile``), the prepass steps them in
@@ -49,8 +54,8 @@ sets; any change here must keep it green.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter, deque
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.emulator.tracepack import PackCursor, TracePack
 from repro.isa.branches import BranchInstruction
@@ -59,11 +64,12 @@ from repro.isa.opcodes import FunctionalUnitClass, OpClass
 from repro.isa.registers import Register
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.core import OutOfOrderCore, SimulationResult, _reg_key
+from repro.pipeline.core import OutOfOrderCore, SimulationResult, _hook, _reg_key
 from repro.pipeline.lsq import LoadStoreUnit
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.scheme_api import BranchHandlingScheme
+from repro.pipeline.uop import RenameDecision
 from repro.predictors.batched import ConventionalLaneBank, lane_bank_supported
 from repro.stats.accuracy import BranchAccuracy, BranchRecord
 
@@ -243,28 +249,27 @@ class _SharedTrace:
         self.n_cond = len(self.branch_row_indices)
         self.executed_count = sum(self.execs)
 
-        # Lane-invariant issue accounting of stream lanes: every dynamic
-        # row issues exactly once there (no rename-stage cancels without
-        # predicate prediction), so the per-unit totals are row counts.
+        # Lane-invariant issue accounting: every dynamic row issues exactly
+        # once unless a scheme cancels it at rename, so the per-unit totals
+        # are row counts (counted per static instruction, in first-use order).
         unit_counts: Dict[FunctionalUnitClass, int] = {}
         conservative = 0
-        for de in self.row_decodes:
-            unit = de.unit
-            unit_counts[unit] = unit_counts.get(unit, 0) + 1
+        for j, count in Counter(inst_idx).items():
+            de = statics[j]
+            unit_counts[de.unit] = unit_counts.get(de.unit, 0) + count
             if de.kind == 0 and de.is_predicated:
-                conservative += 1
+                conservative += count
         self.unit_counts = unit_counts
         self.conservative_count = conservative
 
     # ------------------------------------------------------------------
-    def cursor(self) -> Iterator[PackCursor]:
-        """A pack-cursor view over the shared row lists (hook lanes).
+    def cursor_filler(self) -> Callable[[PackCursor, int], None]:
+        """A ``fill(cursor, row)`` that writes row ``row`` into ``cursor``.
 
-        Field-for-field the generator of :meth:`TracePack.cursor`, minus
-        the per-lane column decode — hook lanes feed this straight into
-        the scalar fast loop.
+        Field-for-field what :meth:`TracePack.cursor` yields, read from the
+        shared row lists: the lane kernel fills its flyweight only for rows
+        that reach a scheme hook.
         """
-        cur = PackCursor()
         insts = self.insts
         inst_idx = self.inst_idx
         seqs = self.seqs
@@ -280,7 +285,8 @@ class _SharedTrace:
         branch_f = self.branch_flags
         compare_f = self.compare_flags
         cond_f = self.cond_flags
-        for i in range(self.n_rows):
+
+        def fill(cur: PackCursor, i: int) -> None:
             static = inst_idx[i]
             cur.seq = seqs[i]
             cur.inst = insts[static]
@@ -296,32 +302,23 @@ class _SharedTrace:
             cur.is_branch = branch_f[static]
             cur.is_compare = compare_f[static]
             cur.is_conditional_branch = cond_f[static]
-            yield cur
 
-    def _branch_cursor_at(self, cur: PackCursor, i: int) -> PackCursor:
-        """Populate ``cur`` with conditional-branch row ``i`` (prepass)."""
-        static = self.inst_idx[i]
-        cur.seq = self.seqs[i]
-        cur.inst = self.insts[static]
-        cur.pc = self.pcs[i]
-        cur.qp_value = self.qps[i]
-        cur.executed = self.execs[i]
-        cur.taken = self.takens[i]
-        cur.target_pc = self.targets[i]
-        cur.next_pc = self.nexts[i]
-        cur.mem_address = self.mems[i]
-        cur.pred_writes = self.writes[i]
-        cur.guard_producer_seq = self.producers[i]
-        cur.is_branch = True
-        cur.is_compare = False
-        cur.is_conditional_branch = True
-        return cur
+        return fill
+
+    def cursor(self) -> Iterator[PackCursor]:
+        """A pack-cursor view over the shared row lists, for the scalar
+        fast loop (lanes whose scheme observes every fetched row)."""
+        cur = PackCursor()
+        fill = self.cursor_filler()
+        for i in range(self.n_rows):
+            fill(cur, i)
+            yield cur
 
 
 class _DecisionStream:
     """One scheme spec's prediction evolution over the batch's trace."""
 
-    __slots__ = ("overrides", "mispreds", "override_count", "mispredict_count", "records")
+    __slots__ = ("overrides", "mispreds", "records")
 
     def __init__(
         self,
@@ -331,8 +328,6 @@ class _DecisionStream:
     ) -> None:
         self.overrides = overrides
         self.mispreds = mispreds
-        self.override_count = sum(overrides)
-        self.mispredict_count = sum(mispreds)
         self.records = records
 
 
@@ -344,14 +339,14 @@ def stream_eligible(scheme: BranchHandlingScheme) -> bool:
     an overridden compare/fetch/predicate hook means the scheme observes
     (or steers) rows the stream replay never visits.
     """
-    cls = type(scheme)
-    base = BranchHandlingScheme
-    return (
-        scheme.timing_independent
-        and cls.on_fetch is base.on_fetch
-        and cls.on_compare_rename is base.on_compare_rename
-        and cls.on_compare_complete is base.on_compare_complete
-        and cls.on_predicated_rename is base.on_predicated_rename
+    return scheme.timing_independent and all(
+        _hook(scheme, hook) is None
+        for hook in (
+            "on_fetch",
+            "on_compare_rename",
+            "on_compare_complete",
+            "on_predicated_rename",
+        )
     )
 
 
@@ -368,7 +363,7 @@ def _drive_scheme_stream(
     cur = PackCursor()
     on_rename = scheme.on_branch_rename
     on_resolved = scheme.on_branch_resolved
-    fill = shared._branch_cursor_at
+    fill = shared.cursor_filler()
     overrides: List[bool] = []
     mispreds: List[bool] = []
     for i in shared.branch_row_indices:
@@ -422,42 +417,49 @@ def _drive_bank(
     ]
 
 
-def _run_stream_lane(
+def _run_lane(
     shared: _SharedTrace,
     cfg: PipelineConfig,
-    stream: _DecisionStream,
+    scheme: BranchHandlingScheme,
+    stream: Optional[_DecisionStream],
     accuracy: BranchAccuracy,
-    scheme_name: str,
     program_name: str,
 ) -> SimulationResult:
-    """The stream-lane timing loop: scalar-fast-loop semantics, no scheme.
+    """The lane timing loop: scalar-fast-loop semantics over the shared decode.
 
-    Per conditional branch the loop reads two precomputed flags from the
-    spec's decision stream; the fetch engine, rename/commit slotters and
-    sliding windows are inlined as locals (with ``-1`` sentinels replacing
-    the scalar path's ``None`` states).  Any edit here must keep the
-    batched parity suite bit-identical against ``_run_fast``.
+    Each conditional branch takes its decision from one of two sources:
+    the spec's precomputed decision ``stream`` (stream lanes; no scheme call
+    at all), or the scheme's live ``on_branch_rename``/``on_branch_resolved``
+    hooks (``stream is None``: hook lanes).  Compare and predicated-rename
+    hooks are called only when the scheme overrides the base no-op, and the
+    shared :class:`PackCursor` is filled only for rows that reach a hook.
+    The fetch engine, rename/commit slotters and sliding windows are held
+    as locals (``-1`` sentinels replace the scalar path's ``None`` states).
+    The caller routes schemes that override ``on_fetch`` to the scalar fast
+    loop instead.  Any edit here must keep the batched parity suite
+    bit-identical against ``_run_fast``.
     """
     memory = MemoryHierarchy()
     fetch_latency = memory.fetch_latency
     lsu = LoadStoreUnit(cfg, memory)
     fus = FunctionalUnitPool(cfg.fu_counts)
     slot_table = [fus._next_free.get(unit) for unit in _UNITS]
+    cancelled_units = [0] * len(_UNITS)
 
-    rob_q: deque = deque()
+    # Sliding windows as bounded deques: appending to a full one drops its
+    # oldest release cycle (reference: SlidingWindowResource.allocate).
     rob_cap = cfg.rob_entries
-    int_q: deque = deque()
-    fp_q: deque = deque()
-    br_q: deque = deque()
-    queues = (int_q, fp_q, br_q)
+    rob_q: deque = deque(maxlen=rob_cap)
     caps = (cfg.int_queue_entries, cfg.fp_queue_entries, cfg.branch_queue_entries)
-    br_cap = cfg.branch_queue_entries
+    queues = tuple(deque(maxlen=cap) for cap in caps)
+    br_q = queues[2]
     rn_width = cfg.rename_width
     cm_width = cfg.commit_width
     fetch_width = cfg.fetch_width
     fetch_to_rename = cfg.fetch_to_rename
     override_flush_penalty = cfg.override_flush_penalty
     branch_mispredict_penalty = cfg.branch_mispredict_penalty
+    predicate_mispredict_penalty = cfg.predicate_mispredict_penalty
 
     queue_constraint = lsu.queue_constraint
     load_complete_cycle = lsu.load_complete_cycle
@@ -468,9 +470,34 @@ def _run_stream_lane(
     regs: Dict[int, int] = {}
     regs_get = regs.get
 
-    overrides = stream.overrides
-    mispreds = stream.mispreds
+    # Decision source and hooks (None = not called).
+    cur = PackCursor()
+    fill = shared.cursor_filler()
+    takens = shared.takens
+    if stream is not None:
+        overrides = stream.overrides
+        mispreds = stream.mispreds
+        on_branch_rename = on_branch_resolved = None
+        on_compare_rename = on_compare_complete = on_predicated_rename = None
+    else:
+        overrides = mispreds = None
+        on_branch_rename = scheme.on_branch_rename
+        on_branch_resolved = scheme.on_branch_resolved
+        on_compare_rename = _hook(scheme, "on_compare_rename")
+        on_compare_complete = _hook(scheme, "on_compare_complete")
+        on_predicated_rename = _hook(scheme, "on_predicated_rename")
+    compare_hooked = on_compare_rename is not None or on_compare_complete is not None
     bi = 0  # decision-stream position (conditional branches, fetch order)
+    CONSERVATIVE = RenameDecision.CONSERVATIVE
+    ASSUME_TRUE = RenameDecision.ASSUME_TRUE
+    CANCEL = RenameDecision.CANCEL
+
+    n_mispredictions = 0
+    n_override_flushes = 0
+    n_predicate_flushes = 0
+    n_cancelled = 0
+    n_conservative = 0
+    n_assume_true = 0
 
     # Inlined FetchEngine state (-1 sentinels for "no block"/"no redirect").
     group_cycle = 0
@@ -486,7 +513,8 @@ def _run_stream_lane(
     cm_used = 0
     last_commit = 0
 
-    for de, pc, block, ends_group, execd, mem in zip(
+    for i, de, pc, block, ends_group, execd, mem in zip(
+        range(shared.n_rows),
         shared.row_decodes,
         shared.pcs,
         shared.blocks,
@@ -522,7 +550,7 @@ def _run_stream_lane(
 
         # ---------------------------------------------------- rename
         cycle = fetch_cycle + fetch_to_rename
-        if len(rob_q) >= rob_cap and rob_q[0] > cycle:
+        if i >= rob_cap and rob_q[0] > cycle:  # one ROB entry per older row
             cycle = rob_q[0]
         qsel = de.queue_sel
         if qsel < 0:
@@ -543,9 +571,11 @@ def _run_stream_lane(
         rename_cycle = cycle
 
         kind = de.kind
+        cancelled = False
         # ------------------------------------------- per-class handling
         if kind == 1:  # branch
             ready = rename_cycle + 2
+            guard_ready = 0
             if de.is_predicated:
                 guard_ready = regs_get(de.qp_key, 0)
                 if guard_ready > ready:
@@ -554,16 +584,23 @@ def _run_stream_lane(
             best = min(slots)
             issue = ready if ready > best else best
             slots[slots.index(best)] = issue + 1
-            if len(br_q) >= br_cap:
-                br_q.popleft()
             br_q.append(issue)
             complete = issue + de.latency
 
             if de.is_cond_branch:
-                over = overrides[bi]
-                mis = mispreds[bi]
-                bi += 1
+                if on_branch_rename is None:
+                    over = overrides[bi]
+                    mis = mispreds[bi]
+                    bi += 1
+                else:
+                    fill(cur, i)
+                    handling = on_branch_rename(cur, fetch_cycle, rename_cycle, guard_ready)
+                    over = handling.override_flush
+                    mis = handling.final_prediction != (takens[i] is True)
+                if over:
+                    n_override_flushes += 1
                 if mis:
+                    n_mispredictions += 1
                     redirects += 1
                     redirect = complete + branch_mispredict_penalty
                     if redirect > pending_redirect:
@@ -573,8 +610,14 @@ def _run_stream_lane(
                     redirect = rename_cycle + override_flush_penalty
                     if redirect > pending_redirect:
                         pending_redirect = redirect
+                if on_branch_resolved is not None:
+                    on_branch_resolved(cur, complete, mis)
 
         elif kind == 2:  # compare
+            if compare_hooked:
+                fill(cur, i)
+                if on_compare_rename is not None:
+                    on_compare_rename(cur, fetch_cycle, rename_cycle)
             ready = rename_cycle + 2
             for key in de.cmp_src_keys:
                 t = regs_get(key, 0)
@@ -584,39 +627,94 @@ def _run_stream_lane(
             best = min(slots)
             issue = ready if ready > best else best
             slots[slots.index(best)] = issue + 1
-            queue = queues[qsel]
-            if len(queue) >= caps[qsel]:
-                queue.popleft()
-            queue.append(issue)
+            queues[qsel].append(issue)
             complete = issue + de.latency
             for key in de.dest_keys:
                 regs[key] = complete
+            if on_compare_complete is not None:
+                on_compare_complete(cur, complete)
 
-        else:  # simple; always conservative (no predicate prediction)
-            ready = rename_cycle + 2
-            for key in de.stream_keys:
-                t = regs_get(key, 0)
-                if t > ready:
-                    ready = t
-            slots = slot_table[de.unit_index]
-            best = min(slots)
-            issue = ready if ready > best else best
-            slots[slots.index(best)] = issue + 1
-            if qsel < 0:
-                address = mem if execd else None
-                if de.is_load:
-                    complete = load_complete_cycle(address, issue)
+        else:  # simple (ALU / FP / move / memory / nop)
+            keys = de.stream_keys  # conservative when predicated
+            if on_predicated_rename is not None and de.is_predicated:
+                fill(cur, i)
+                handling = on_predicated_rename(
+                    cur, fetch_cycle, rename_cycle, regs_get(de.qp_key, 0)
+                )
+                decision = handling.decision
+                if handling.flush_discovery_cycle is not None:
+                    # Wrong speculation: flush, re-fetch this row at the
+                    # resume cycle (FetchEngine.refetch_current), re-rename
+                    # it and handle it conservatively.
+                    n_predicate_flushes += 1
+                    cycle = handling.flush_discovery_cycle + predicate_mispredict_penalty
+                    if group_cycle > cycle:
+                        cycle = group_cycle
+                    redirects += 1
+                    last_block = block
+                    latency = fetch_latency(pc, cycle)
+                    if latency > 1:
+                        stall = latency - 1
+                        cycle += stall
+                        icache_stalls += stall
+                    fetch_cycle = cycle
+                    group_slots = 1
+                    group_cycle = cycle
+
+                    cycle = fetch_cycle + fetch_to_rename
+                    if i >= rob_cap and rob_q[0] > cycle:
+                        cycle = rob_q[0]
+                    if qsel < 0:
+                        cycle = queue_constraint(de.is_store, cycle)
+                    else:
+                        queue = queues[qsel]
+                        if len(queue) >= caps[qsel] and queue[0] > cycle:
+                            cycle = queue[0]
+                    if cycle < rn_cycle:
+                        cycle = rn_cycle
+                    if cycle == rn_cycle and rn_used >= rn_width:
+                        cycle += 1
+                    if cycle > rn_cycle:
+                        rn_cycle = cycle
+                        rn_used = 1
+                    else:
+                        rn_used += 1
+                    rename_cycle = cycle
+                    decision = CONSERVATIVE
+                if decision is CANCEL:
+                    cancelled = True
+                elif decision is ASSUME_TRUE:
+                    n_assume_true += 1
+                    keys = de.src_keys
                 else:
-                    complete = issue + de.latency
-                    store_execute(address, complete)
+                    n_conservative += 1
+
+            if cancelled:
+                n_cancelled += 1
+                cancelled_units[de.unit_index] += 1
+                complete = rename_cycle
             else:
-                queue = queues[qsel]
-                if len(queue) >= caps[qsel]:
-                    queue.popleft()
-                queue.append(issue)
-                complete = issue + de.latency
-            for key in de.dest_keys:
-                regs[key] = complete
+                ready = rename_cycle + 2
+                for key in keys:
+                    t = regs_get(key, 0)
+                    if t > ready:
+                        ready = t
+                slots = slot_table[de.unit_index]
+                best = min(slots)
+                issue = ready if ready > best else best
+                slots[slots.index(best)] = issue + 1
+                if qsel < 0:
+                    address = mem if execd else None
+                    if de.is_load:
+                        complete = load_complete_cycle(address, issue)
+                    else:
+                        complete = issue + de.latency
+                        store_execute(address, complete)
+                else:
+                    queues[qsel].append(issue)
+                    complete = issue + de.latency
+                for key in de.dest_keys:
+                    regs[key] = complete
 
         # ---------------------------------------------------- commit
         commit = complete + 1
@@ -633,11 +731,13 @@ def _run_stream_lane(
         if commit > last_commit:
             last_commit = commit
 
-        if len(rob_q) >= rob_cap:
-            rob_q.popleft()
         rob_q.append(commit)
-        if qsel < 0:
+        if qsel < 0 and not cancelled:
             record_allocation(de.is_store, commit)
+
+    if on_predicated_rename is None:
+        # Every predicated simple row was handled conservatively.
+        n_conservative = shared.conservative_count
 
     metrics = PipelineMetrics()
     n = shared.n_rows
@@ -646,17 +746,19 @@ def _run_stream_lane(
     metrics.executed_instructions = shared.executed_count
     metrics.nullified_instructions = n - shared.executed_count
     metrics.conditional_branches = shared.n_cond
-    metrics.branch_mispredictions = stream.mispredict_count
-    metrics.override_flushes = stream.override_count
-    metrics.predicate_flushes = 0
-    metrics.cancelled_at_rename = 0
-    metrics.conservative_predicated = shared.conservative_count
-    metrics.assume_true_predicated = 0
+    metrics.branch_mispredictions = n_mispredictions
+    metrics.override_flushes = n_override_flushes
+    metrics.predicate_flushes = n_predicate_flushes
+    metrics.cancelled_at_rename = n_cancelled
+    metrics.conservative_predicated = n_conservative
+    metrics.assume_true_predicated = n_assume_true
     metrics.cycles = last_commit
     metrics.memory_stats = memory.statistics()
+    # Every row issues once except the ones cancelled at rename.
     issue_counts = fus.issue_counts
     for unit, count in shared.unit_counts.items():
-        issue_counts[unit] = issue_counts.get(unit, 0) + count
+        issued = count - cancelled_units[_UNIT_INDEX[unit]]
+        issue_counts[unit] = issue_counts.get(unit, 0) + issued
     metrics.fu_utilisation = fus.utilisation()
     metrics.counters.set("lsq_forwarded_loads", lsu.forwarded_loads)
     metrics.counters.set("fetch_redirects", redirects)
@@ -664,7 +766,7 @@ def _run_stream_lane(
 
     return SimulationResult(
         program_name=program_name,
-        scheme_name=scheme_name,
+        scheme_name=scheme.name,
         metrics=metrics,
         accuracy=accuracy,
         uops=None,
@@ -679,10 +781,11 @@ def simulate_lanes(
     """Simulate every lane over one trace pack; results in lane order.
 
     Each result is bit-identical to running that lane's (scheme, machine)
-    cell through the scalar engine.  Stream-eligible lanes share one
-    decision-stream prepass per scheme spec (lane-axis banked across
-    same-geometry specs); the rest run the scalar fast loop over the
-    shared column decode.
+    cell through the scalar engine.  Every lane runs :func:`_run_lane` over
+    the shared decode: stream-eligible lanes read one decision-stream
+    prepass per scheme spec (lane-axis banked across same-geometry specs),
+    the rest call their scheme's hooks.  Only a scheme that overrides
+    ``on_fetch`` runs the scalar fast loop.
     """
     shared = _SharedTrace(pack)
     schemes = [lane.scheme_factory() for lane in lanes]
@@ -728,17 +831,19 @@ def simulate_lanes(
                 accuracy = schemes[i].accuracy
             else:
                 accuracy = BranchAccuracy(records=list(stream.records))
-            results[i] = _run_stream_lane(
-                shared,
-                lanes[i].config,
-                stream,
-                accuracy,
-                schemes[i].name,
-                program_name,
+            results[i] = _run_lane(
+                shared, lanes[i].config, schemes[i], stream, accuracy, program_name
             )
 
     for i in hook_idx:
-        core = OutOfOrderCore(config=lanes[i].config, optimized=True)
-        results[i] = core._run_fast(shared.cursor(), schemes[i], program_name)
+        scheme = schemes[i]
+        if _hook(scheme, "on_fetch") is not None:
+            # A scheme that observes every fetched row keeps the scalar loop.
+            core = OutOfOrderCore(config=lanes[i].config, optimized=True)
+            results[i] = core._run_fast(shared.cursor(), scheme, program_name)
+        else:
+            results[i] = _run_lane(
+                shared, lanes[i].config, scheme, None, scheme.accuracy, program_name
+            )
 
     return results

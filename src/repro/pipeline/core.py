@@ -109,6 +109,14 @@ def _reg_key(reg: Register) -> int:
     return (_KIND_CODE[reg.kind] << 8) | reg.index
 
 
+def _hook(scheme: BranchHandlingScheme, name: str):
+    """The bound hook ``name`` of ``scheme``, or ``None`` when the scheme
+    inherits the base-class no-op (an identity test on the class)."""
+    if getattr(type(scheme), name) is getattr(BranchHandlingScheme, name):
+        return None
+    return getattr(scheme, name)
+
+
 class _Decode:
     """Per-static-instruction decode/dispatch record of the fast path.
 
@@ -517,18 +525,16 @@ class OutOfOrderCore:
         dcache_get = dcache.get
         build_decode = self._build_decode
 
-        # Bound hot callables.  ``on_fetch`` runs once per dynamic
-        # instruction; when the scheme never overrode the base no-op hook
-        # (none of the paper's schemes do) the call is skipped entirely.
-        fetch_one = fetch.fetch
-        on_fetch = scheme.on_fetch
-        if type(scheme).on_fetch is BranchHandlingScheme.on_fetch:
-            on_fetch = None
+        # Bound hot callables.  Hooks the scheme inherits as base-class
+        # no-ops are skipped entirely (``None``): ``on_fetch`` runs once per
+        # dynamic instruction and none of the paper's schemes overrides it;
+        # the conventional scheme overrides no compare or predicated hook.
+        on_fetch = _hook(scheme, "on_fetch")
         on_branch_rename = scheme.on_branch_rename
         on_branch_resolved = scheme.on_branch_resolved
-        on_compare_rename = scheme.on_compare_rename
-        on_compare_complete = scheme.on_compare_complete
-        on_predicated_rename = scheme.on_predicated_rename
+        on_compare_rename = _hook(scheme, "on_compare_rename")
+        on_compare_complete = _hook(scheme, "on_compare_complete")
+        on_predicated_rename = _hook(scheme, "on_predicated_rename")
         fetch_to_rename = cfg.fetch_to_rename
         override_flush_penalty = cfg.override_flush_penalty
         branch_mispredict_penalty = cfg.branch_mispredict_penalty
@@ -536,6 +542,15 @@ class OutOfOrderCore:
         CONSERVATIVE = RenameDecision.CONSERVATIVE
         ASSUME_TRUE = RenameDecision.ASSUME_TRUE
         CANCEL = RenameDecision.CANCEL
+
+        # Inline FetchEngine state (reference: FetchEngine.fetch), held as
+        # locals and written back on exit; -1 stands for the engine's
+        # ``None`` (no current block / no pending redirect).
+        fetch_width = fetch._fetch_width
+        fetch_latency = fetch._fetch_latency
+        group_cycle, group_slots, last_block, pending_redirect = fetch.inline_state()
+        icache_stalls = fetch.icache_stall_cycles
+        redirects = fetch.redirects
 
         def place_rename(fetch_cycle: int, de: _Decode) -> int:
             """Rename-stage placement (reference: _rename_cycle + slotter).
@@ -586,7 +601,32 @@ class OutOfOrderCore:
                 dcache[inst.uid] = de
 
             # ----------------------------------------------------- fetch
-            fetch_cycle = fetch_one(dyn)
+            cycle = group_cycle
+            if pending_redirect >= 0:
+                if pending_redirect > cycle:
+                    cycle = pending_redirect
+                    group_slots = 0
+                pending_redirect = -1
+            if group_slots >= fetch_width:
+                cycle += 1
+                group_slots = 0
+            block = dyn.pc >> 6
+            if block != last_block:
+                last_block = block
+                if fetch_latency is not None:
+                    latency = fetch_latency(dyn.pc, cycle)
+                    if latency > 1:
+                        stall = latency - 1
+                        cycle += stall
+                        icache_stalls += stall
+                        group_slots = 0
+            fetch_cycle = cycle
+            group_slots += 1
+            group_cycle = cycle
+            if de.kind == 1 and dyn.taken:  # a taken branch ends the fetch group
+                group_cycle = cycle + 1
+                group_slots = 0
+                last_block = -1
             if on_fetch is not None:
                 on_fetch(dyn, fetch_cycle)
 
@@ -622,19 +662,22 @@ class OutOfOrderCore:
                     n_cond_branches += 1
                     handling = on_branch_rename(dyn, fetch_cycle, rename_cycle, guard_ready)
                     mispredicted = handling.final_prediction != bool(dyn.taken)
-                    redirect = None
+                    redirect = -1
                     if handling.override_flush:
                         n_override_flushes += 1
                         redirect = rename_cycle + override_flush_penalty
                     if mispredicted:
                         n_mispredictions += 1
                         redirect = complete + branch_mispredict_penalty
-                    if redirect is not None:
-                        fetch.redirect(redirect)
+                    if redirect >= 0:  # reference: FetchEngine.redirect
+                        redirects += 1
+                        if redirect > pending_redirect:
+                            pending_redirect = redirect
                     on_branch_resolved(dyn, complete, mispredicted)
 
             elif kind == 2:  # compare
-                on_compare_rename(dyn, fetch_cycle, rename_cycle)
+                if on_compare_rename is not None:
+                    on_compare_rename(dyn, fetch_cycle, rename_cycle)
                 ready = rename_cycle + 2
                 for key in de.cmp_src_keys:
                     t = regs_get(key, 0)
@@ -657,11 +700,12 @@ class OutOfOrderCore:
                 complete = issue + de.latency
                 for key in de.dest_keys:
                     regs[key] = complete
-                on_compare_complete(dyn, complete)
+                if on_compare_complete is not None:
+                    on_compare_complete(dyn, complete)
 
             else:  # simple (ALU / FP / move / memory / nop)
                 decision = CONSERVATIVE
-                if is_predicated:
+                if is_predicated and on_predicated_rename is not None:
                     handling = on_predicated_rename(
                         dyn, fetch_cycle, rename_cycle, guard_ready
                     )
@@ -670,10 +714,22 @@ class OutOfOrderCore:
                         # Wrong speculation: flush, re-fetch, handle
                         # conservatively (reference: _handle_simple).
                         n_predicate_flushes += 1
-                        resume = (
-                            handling.flush_discovery_cycle + predicate_mispredict_penalty
-                        )
-                        fetch_cycle = fetch.refetch_current(dyn, resume)
+                        # Re-fetch this instruction at the resume cycle
+                        # (reference: FetchEngine.refetch_current).
+                        cycle = handling.flush_discovery_cycle + predicate_mispredict_penalty
+                        if group_cycle > cycle:
+                            cycle = group_cycle
+                        redirects += 1
+                        last_block = block
+                        if fetch_latency is not None:
+                            latency = fetch_latency(dyn.pc, cycle)
+                            if latency > 1:
+                                stall = latency - 1
+                                cycle += stall
+                                icache_stalls += stall
+                        fetch_cycle = cycle
+                        group_slots = 1
+                        group_cycle = cycle
                         rename_cycle = place_rename(fetch_cycle, de)
                         decision = CONSERVATIVE
 
@@ -748,6 +804,9 @@ class OutOfOrderCore:
 
         # Write the scalar locals back; the mutable containers (deques,
         # dicts, rn_state) were mutated in place.
+        fetch.set_inline_state(group_cycle, group_slots, last_block, pending_redirect)
+        fetch.icache_stall_cycles = icache_stalls
+        fetch.redirects = redirects
         state.cm_cycle, state.cm_used = cm_cycle, cm_used
         state.n_insts = n_insts
         state.n_executed = n_executed

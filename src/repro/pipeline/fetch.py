@@ -10,7 +10,7 @@ the core through :meth:`FetchEngine.redirect`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.emulator.executor import DynInst
 from repro.memory.hierarchy import MemoryHierarchy
@@ -69,6 +69,26 @@ class FetchEngine:
         self._last_block = None
         self.redirects += 1
         return self._fetch_at(dyn, self._group_cycle)
+
+    # ------------------------------------------------------------------
+    def inline_state(self) -> Tuple[int, int, int, int]:
+        """``(group cycle, group slots, last block, pending redirect)`` for
+        a timing loop that inlines :meth:`fetch`, with ``-1`` for ``None``."""
+        return (
+            self._group_cycle,
+            self._group_slots,
+            -1 if self._last_block is None else self._last_block,
+            -1 if self._pending_redirect is None else self._pending_redirect,
+        )
+
+    def set_inline_state(
+        self, group_cycle: int, group_slots: int, last_block: int, pending_redirect: int
+    ) -> None:
+        """Write back what :meth:`inline_state` handed out (``-1`` -> ``None``)."""
+        self._group_cycle = group_cycle
+        self._group_slots = group_slots
+        self._last_block = None if last_block < 0 else last_block
+        self._pending_redirect = None if pending_redirect < 0 else pending_redirect
 
     # ------------------------------------------------------------------
     def fetch(self, dyn: DynInst) -> int:

@@ -35,7 +35,7 @@ class ConfidenceEstimator:
     # ------------------------------------------------------------------
     def is_confident(self, index: int) -> bool:
         """True when the counter for ``index`` is saturated."""
-        return self._counters[self._index(index)] == self._max
+        return self._counters[index % self.entries] == self._max
 
     def value(self, index: int) -> int:
         return self._counters[self._index(index)]
@@ -49,10 +49,14 @@ class ConfidenceEstimator:
         self._counters[self._index(index)] = 0
 
     def record(self, index: int, correct: bool) -> None:
-        if correct:
-            self.record_correct(index)
-        else:
-            self.record_incorrect(index)
+        # record_correct / record_incorrect inlined: one call per compare
+        # target on the predicate-prediction hot path.
+        counters = self._counters
+        i = index % self.entries
+        if not correct:
+            counters[i] = 0
+        elif counters[i] < self._max:
+            counters[i] += 1
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

@@ -136,10 +136,13 @@ class LocalHistoryTable:
         return index
 
     def read(self, pc: int) -> int:
-        return self._histories[self._index(pc)]
+        i = self._pc_index.get(pc)  # _index, without a call once memoised
+        return self._histories[self._index(pc) if i is None else i]
 
     def update(self, pc: int, outcome: bool) -> None:
-        i = self._index(pc)
+        i = self._pc_index.get(pc)
+        if i is None:
+            i = self._index(pc)
         self._histories[i] = ((self._histories[i] << 1) | (1 if outcome else 0)) & self._mask
 
     def read_then_update(self, pc: int, outcome: bool) -> int:
@@ -154,6 +157,10 @@ class LocalHistoryTable:
         history = self._histories[i]
         self._histories[i] = ((history << 1) | (1 if outcome else 0)) & self._mask
         return history
+
+    def state(self) -> Tuple[int, ...]:
+        """Every local history register, in table order (parity tests)."""
+        return tuple(self._histories)
 
     def storage_bits(self) -> int:
         return self.entries * self.bits

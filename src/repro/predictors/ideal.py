@@ -23,8 +23,8 @@ from repro.predictors.base import PredictorSizeReport
 from repro.predictors.history import LocalHistoryTable
 from repro.predictors.perceptron import (
     PerceptronConfig,
-    perceptron_output,
-    perceptron_train,
+    flat_perceptron_output,
+    flat_perceptron_train,
 )
 from repro.predictors.predicate_perceptron import PredicatePredictorConfig
 
@@ -65,7 +65,8 @@ class NoAliasPerceptron:
         return (local_part << cfg.global_bits) | global_part
 
     def predict_with_output(self, pc: int, global_history: int) -> Tuple[bool, int]:
-        output = perceptron_output(self._row(pc), self._combined_history(pc, global_history))
+        combined = self._combined_history(pc, global_history)
+        output = flat_perceptron_output(self._row(pc), 0, self.config.num_weights, combined)
         return output >= 0, output
 
     def predict(self, pc: int, global_history: int) -> bool:
@@ -75,9 +76,10 @@ class NoAliasPerceptron:
         cfg = self.config
         row = self._row(pc)
         combined = self._combined_history(pc, global_history)
-        output = perceptron_output(row, combined)
+        nw = cfg.num_weights
+        output = flat_perceptron_output(row, 0, nw, combined)
         if (output >= 0) != outcome or abs(output) <= cfg.theta:
-            perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
+            flat_perceptron_train(row, 0, nw, combined, outcome, cfg.weight_min, cfg.weight_max)
         self.local_histories.update(pc, outcome)
 
     def size_report(self) -> PredictorSizeReport:
@@ -125,8 +127,8 @@ class NoAliasPredicatePerceptron:
         return (local_part << cfg.global_bits) | global_part
 
     def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:
-        row = self._row(pc, slot)
-        output = perceptron_output(row, self._combined_history(pc, slot, global_history))
+        combined = self._combined_history(pc, slot, global_history)
+        output = flat_perceptron_output(self._row(pc, slot), 0, self.config.num_weights, combined)
         return output >= 0, output
 
     def predict_compare(self, pc: int, global_history: int) -> Tuple[bool, bool]:
@@ -139,9 +141,10 @@ class NoAliasPredicatePerceptron:
         cfg = self.config
         row = self._row(pc, slot)
         combined = self._combined_history(pc, slot, global_history)
-        output = perceptron_output(row, combined)
+        nw = cfg.num_weights
+        output = flat_perceptron_output(row, 0, nw, combined)
         if (output >= 0) != outcome or abs(output) <= cfg.theta:
-            perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
+            flat_perceptron_train(row, 0, nw, combined, outcome, cfg.weight_min, cfg.weight_max)
         self.local_histories.update(self._local_key(pc, slot), outcome)
 
     def size_report(self) -> PredictorSizeReport:

@@ -26,7 +26,9 @@ LHR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import compress
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from repro.perf.flags import resolve_optimized
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
@@ -124,24 +126,31 @@ def perceptron_train(
         history >>= 1
 
 
+#: Lookup tables of the flat-row kernels.  ``_BIT_SELECT`` translates the
+#: ASCII digits of ``bin(history)`` into 0/1 selector bytes; entry ``b`` of
+#: ``_BYTE_STEP_TRUE``/``_BYTE_STEP_FALSE`` is the training step of each bit
+#: ``k`` of the byte value ``b``: +1 where the bit agrees with the outcome,
+#: -1 where it does not.
+_BIT_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_STEP_TRUE = tuple(tuple(1 if b >> k & 1 else -1 for k in range(8)) for b in range(256))
+_BYTE_STEP_FALSE = tuple(tuple(-1 if b >> k & 1 else 1 for k in range(8)) for b in range(256))
+
+
 def flat_perceptron_output(
     weights: List[int], base: int, num_weights: int, combined_history: int
 ) -> int:
     """:func:`perceptron_output` over one row of a flat weight table.
 
     ``weights[base]`` is the bias weight of the row; history bit ``i`` maps
-    to ``weights[base + 1 + i]``.  Identical arithmetic to the row-based
-    reference, without the per-row list indirection.
+    to ``weights[base + 1 + i]``.  The bipolar dot product is evaluated as
+    ``bias + 2 * (sum of weights at set bits) - (sum of all weights)``, with
+    the set bits selected from ``bin(history)`` read backwards (bit 0
+    first) and both sums in C — exact integer arithmetic, parity-tested
+    against the row-based reference.
     """
-    total = weights[base]
-    history = combined_history
-    for i in range(base + 1, base + num_weights):
-        if history & 1:
-            total += weights[i]
-        else:
-            total -= weights[i]
-        history >>= 1
-    return total
+    row = weights[base + 1 : base + num_weights]
+    selected = bin(combined_history)[:1:-1].encode().translate(_BIT_SELECT)
+    return weights[base] + 2 * sum(compress(row, selected)) - sum(row)
 
 
 def flat_perceptron_train(
@@ -153,15 +162,25 @@ def flat_perceptron_train(
     weight_min: int,
     weight_max: int,
 ) -> None:
-    """:func:`perceptron_train` over one row of a flat weight table."""
-    delta = 1 if outcome else -1
-    weights[base] = min(weight_max, max(weight_min, weights[base] + delta))
+    """:func:`perceptron_train` over one row of a flat weight table.
+
+    Every weight steps by +/-1 (the ``_BYTE_STEP_*`` tables), so a weight
+    can leave ``[weight_min, weight_max]`` only by one; the clamp pass runs
+    only when some weight did.
+    """
+    table = _BYTE_STEP_TRUE if outcome else _BYTE_STEP_FALSE
+    steps: Tuple[int, ...] = ()
     history = combined_history
-    for i in range(base + 1, base + num_weights):
-        bit_agrees = bool(history & 1) == outcome
-        step = 1 if bit_agrees else -1
-        weights[i] = min(weight_max, max(weight_min, weights[i] + step))
-        history >>= 1
+    for _ in range(0, num_weights - 1, 8):
+        steps += table[history & 255]
+        history >>= 8
+    bias = weights[base] + (1 if outcome else -1)
+    weights[base] = weight_max if bias > weight_max else max(weight_min, bias)
+    end = base + num_weights
+    trained = list(map(add, weights[base + 1 : end], steps))
+    if weight_max + 1 in trained or weight_min - 1 in trained:
+        trained = [min(weight_max, max(weight_min, w)) for w in trained]
+    weights[base + 1 : end] = trained
 
 
 class PerceptronPredictor(DirectionPredictor):
@@ -193,8 +212,14 @@ class PerceptronPredictor(DirectionPredictor):
         else:
             self._flat = None
             self._rows = [[0] * cfg.num_weights for _ in range(cfg.entries)]
+        self._theta = cfg.theta
         self.local_histories = LocalHistoryTable(cfg.local_history_entries, cfg.local_bits)
         self._pc_index: dict = {}
+        #: Predict-time evaluation of each row (flat backend): entry index ->
+        #: ``(combined history, output)``.  Dropped whenever the row trains
+        #: and reused by :meth:`update` only for an equal combined history,
+        #: so a reused output is exactly what re-evaluating the row gives.
+        self._evaluated: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -234,8 +259,10 @@ class PerceptronPredictor(DirectionPredictor):
         """Return (direction, raw perceptron output)."""
         combined = self._combined_history(pc, global_history)
         if self._flat is not None:
-            base = self._index(pc) * self._num_weights
-            output = flat_perceptron_output(self._flat, base, self._num_weights, combined)
+            index = self._index(pc)
+            nw = self._num_weights
+            output = flat_perceptron_output(self._flat, index * nw, nw, combined)
+            self._evaluated[index] = (combined, output)
         else:
             output = self._output(self._rows[self._index(pc)], combined)
         return output >= 0, output
@@ -250,12 +277,18 @@ class PerceptronPredictor(DirectionPredictor):
         combined = self._combined_history(pc, global_history)
         if self._flat is not None:
             nw = self._num_weights
-            base = self._index(pc) * nw
-            output = flat_perceptron_output(self._flat, base, nw, combined)
-            if (output >= 0) != outcome or abs(output) <= cfg.theta:
+            index = self._index(pc)
+            base = index * nw
+            evaluated = self._evaluated.get(index)
+            if evaluated is not None and evaluated[0] == combined:
+                output = evaluated[1]
+            else:
+                output = flat_perceptron_output(self._flat, base, nw, combined)
+            if (output >= 0) != outcome or abs(output) <= self._theta:
                 flat_perceptron_train(
                     self._flat, base, nw, combined, outcome, cfg.weight_min, cfg.weight_max
                 )
+                self._evaluated.pop(index, None)
         else:
             row = self._rows[self._index(pc)]
             output = self._output(row, combined)

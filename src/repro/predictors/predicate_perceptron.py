@@ -20,7 +20,7 @@ Differences with the conventional perceptron of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.perf.flags import resolve_optimized
 from repro.predictors.base import PredictorSizeReport, fold_pc
@@ -105,9 +105,17 @@ class PredicatePerceptronPredictor:
         else:
             self._flat = None
             self._pvt = [[0] * cfg.num_weights for _ in range(cfg.entries)]
+        self._theta = cfg.theta
         self.local_histories = LocalHistoryTable(cfg.local_history_entries, cfg.local_bits)
         # Pure memo of the two per-slot PVT indices of each compare PC.
         self._slot_index: dict = {}
+        #: Predict-time evaluation of each PVT row (flat backend): row index
+        #: -> ``(combined history, output)``.  Dropped whenever the row
+        #: trains and reused by :meth:`update_slot` only for an equal
+        #: combined history, so a reused output is exactly what
+        #: re-evaluating the row gives — even when both slots of a compare,
+        #: or two compares, alias one row or one local history.
+        self._evaluated: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Hashing: f1 folds the PC; f2 inverts the MSB of f1's index.
@@ -166,8 +174,10 @@ class PredicatePerceptronPredictor:
         """
         combined = self._combined_history(pc, slot, global_history)
         if self._flat is not None:
-            base = self.index_for_slot(pc, slot) * self._num_weights
-            output = flat_perceptron_output(self._flat, base, self._num_weights, combined)
+            index = self.index_for_slot(pc, slot)
+            nw = self._num_weights
+            output = flat_perceptron_output(self._flat, index * nw, nw, combined)
+            self._evaluated[index] = (combined, output)
         else:
             output = perceptron_output(self._pvt[self.index_for_slot(pc, slot)], combined)
         return output >= 0, output
@@ -184,12 +194,18 @@ class PredicatePerceptronPredictor:
         combined = self._combined_history(pc, slot, global_history)
         if self._flat is not None:
             nw = self._num_weights
-            base = self.index_for_slot(pc, slot) * nw
-            output = flat_perceptron_output(self._flat, base, nw, combined)
-            if (output >= 0) != outcome or abs(output) <= cfg.theta:
+            index = self.index_for_slot(pc, slot)
+            base = index * nw
+            evaluated = self._evaluated.get(index)
+            if evaluated is not None and evaluated[0] == combined:
+                output = evaluated[1]
+            else:
+                output = flat_perceptron_output(self._flat, base, nw, combined)
+            if (output >= 0) != outcome or abs(output) <= self._theta:
                 flat_perceptron_train(
                     self._flat, base, nw, combined, outcome, cfg.weight_min, cfg.weight_max
                 )
+                self._evaluated.pop(index, None)
         else:
             row = self._pvt[self.index_for_slot(pc, slot)]
             output = perceptron_output(row, combined)
@@ -197,6 +213,11 @@ class PredicatePerceptronPredictor:
             if prediction != outcome or abs(output) <= cfg.theta:
                 perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
         self.local_histories.update(self._local_key(pc, slot), outcome)
+
+    def table_state(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+        """Every PVT row and every local history, as tuples (parity tests)."""
+        rows = tuple(tuple(self.weight_row(i)) for i in range(self.config.entries))
+        return rows, self.local_histories.state()
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

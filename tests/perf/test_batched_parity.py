@@ -11,11 +11,16 @@ equal-share wall-clock attribution.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core import ConventionalScheme
+from repro.emulator import Emulator
 from repro.emulator.tracepack import TracePack, pack_supported
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import (
@@ -27,6 +32,7 @@ from repro.engine.planner import (
     make_trace_job,
 )
 from repro.experiments.setup import ExperimentProfile
+from repro.isa import GR, PR, CompareRelation
 from repro.perf import bench
 from repro.pipeline.batched import (
     LaneSpec,
@@ -39,6 +45,7 @@ from repro.pipeline.batched import (
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.machine import MachineSpec
 from repro.predictors.batched import lane_bank_supported
+from repro.program import ProgramBuilder, validate_program
 
 pytestmark = pytest.mark.skipif(
     not pack_supported(), reason="columnar trace path requires numpy"
@@ -153,6 +160,176 @@ class TestBatchedScalarParity:
         # A TAGE second level changes only the backend, not the hook shape:
         # the conventional scheme stays a stream lane.
         assert stream_eligible(SCHEME_SPECS[6].build())
+
+
+#: Every scheme kind, each second-level backend it supports.
+KERNEL_SPECS = (
+    SchemeSpec.make("conventional"),
+    SchemeSpec.make("conventional", second_level="tage"),
+    SchemeSpec.make("pep-pa"),
+    SchemeSpec.make("predicate-aware"),
+    SchemeSpec.make("predicate"),
+    SchemeSpec.make("predicate", second_level="tage"),
+    SchemeSpec.make("wish"),
+    SchemeSpec.make("wish", second_level="tage"),
+)
+
+
+def _speculation_program(iterations: int = 1_000):
+    """A loop whose if-converted body makes predicate prediction speculate.
+
+    The guard of the predicated ALU, load and store instructions comes from
+    a compare on a loaded value that is mostly (not always) above the
+    threshold, right before its consumers: the guards are unresolved at
+    rename, predictions become confident, and the occasional surprise
+    flushes.  At a few thousand instructions the predicate and wish schemes
+    already cancel instructions at rename and take predicate flushes, which
+    the benchmark kernels reach only at ~20k instructions.
+    """
+    rng = random.Random(7)
+    values = [9 if rng.random() < 0.85 else 1 for _ in range(50)]
+    pb = ProgramBuilder("speculation")
+    data = pb.array("data", values)
+    scratch = pb.array("scratch", [0] * 4)
+    rb = pb.routine("main")
+    rb.block("entry")
+    rb.movi(GR(13), iterations)
+    rb.movi(GR(15), scratch)
+    rb.block("outer")
+    rb.movi(GR(10), data)
+    rb.movi(GR(11), 0)
+    rb.movi(GR(12), len(values))
+    rb.block("loop")
+    rb.load(GR(14), GR(10))
+    rb.cmp(CompareRelation.GT, PR(6), PR(7), GR(14), 5)
+    rb.addi(GR(20), GR(20), 1, qp=PR(6))
+    rb.addi(GR(21), GR(21), 1, qp=PR(7))
+    rb.add(GR(22), GR(22), GR(20), qp=PR(6))
+    rb.store(GR(21), GR(15), qp=PR(7))
+    rb.load(GR(16), GR(15), qp=PR(6))
+    rb.addi(GR(10), GR(10), 8)
+    rb.addi(GR(11), GR(11), 1)
+    rb.cmp(CompareRelation.LT, PR(8), PR(9), GR(11), GR(12))
+    rb.br_cond("loop", qp=PR(8))
+    rb.block("next")
+    rb.addi(GR(13), GR(13), -1)
+    rb.cmp(CompareRelation.GT, PR(10), PR(11), GR(13), 0)
+    rb.br_cond("outer", qp=PR(10))
+    rb.block("exit")
+    rb.br_ret()
+    program = pb.finish()
+    validate_program(program)
+    return program
+
+
+@pytest.fixture(scope="module")
+def speculation_pack() -> TracePack:
+    return Emulator(_speculation_program()).run_pack(4_000)
+
+
+def _scalar_fast(pack, spec_or_scheme, machine):
+    """The scalar fast loop (``_run_fast``) over ``pack``: the reference."""
+    scheme = spec_or_scheme.build() if isinstance(spec_or_scheme, SchemeSpec) else spec_or_scheme
+    core = OutOfOrderCore(config=machine.build_config(), optimized=True)
+    return core._run_fast(pack.cursor(), scheme, "speculation")
+
+
+class TestLaneKernelParity:
+    """The lane kernel against ``_run_fast`` on rows that flush and cancel."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda spec: spec.describe())
+    def test_lane_kernel_matches_scalar_fast_loop(self, speculation_pack, spec):
+        lanes = [LaneSpec(spec.build, machine.build_config(), spec) for machine in MACHINES]
+        results = simulate_lanes(speculation_pack, lanes, program_name="speculation")
+        for machine, result in zip(MACHINES, results):
+            expected = _scalar_fast(speculation_pack, spec, machine)
+            context = (spec.describe(), machine.describe())
+            _assert_result_parity(expected, result, context)
+            # Same units issued, same keys, same order.
+            assert list(result.metrics.fu_utilisation.items()) == list(
+                expected.metrics.fu_utilisation.items()
+            ), context
+        if spec.kind in ("predicate", "wish"):
+            # The lane set must reach the speculative paths it guards.
+            assert any(r.metrics.predicate_flushes for r in results), spec.describe()
+            assert any(r.metrics.cancelled_at_rename for r in results), spec.describe()
+            assert any(r.metrics.assume_true_predicated for r in results), spec.describe()
+
+    def test_mixed_lane_set_matches_scalar_fast_loop(self, speculation_pack):
+        picks = [(spec, MACHINES[i % len(MACHINES)]) for i, spec in enumerate(KERNEL_SPECS)]
+        lanes = [LaneSpec(spec.build, machine.build_config(), spec) for spec, machine in picks]
+        results = simulate_lanes(speculation_pack, lanes, program_name="speculation")
+        for (spec, machine), result in zip(picks, results):
+            expected = _scalar_fast(speculation_pack, spec, machine)
+            _assert_result_parity(expected, result, (spec.describe(), machine.describe()))
+
+
+class _CountingScheme(ConventionalScheme):
+    """Conventional prediction that counts the compare and predicated hooks.
+
+    Overriding a hook must get it called for every row it applies to, even
+    though the lane kernel skips the base class's no-op versions.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: Counter = Counter()
+        self.seqs: dict = {}
+
+    def _seen(self, hook: str, dyn) -> None:
+        self.calls[hook] += 1
+        self.seqs.setdefault(hook, []).append(dyn.seq)
+
+    def on_compare_rename(self, dyn, fetch_cycle, rename_cycle):
+        self._seen("on_compare_rename", dyn)
+
+    def on_predicated_rename(self, dyn, fetch_cycle, rename_cycle, guard_ready_cycle):
+        self._seen("on_predicated_rename", dyn)
+        return super().on_predicated_rename(dyn, fetch_cycle, rename_cycle, guard_ready_cycle)
+
+
+class _FetchCountingScheme(_CountingScheme):
+    """Additionally observes every fetched row (keeps the scalar loop)."""
+
+    def on_fetch(self, dyn, fetch_cycle):
+        self._seen("on_fetch", dyn)
+
+
+class TestOverriddenHooksAreCalled:
+    @pytest.mark.parametrize("scheme_cls", [_CountingScheme, _FetchCountingScheme])
+    def test_every_overridden_hook_sees_every_row(self, speculation_pack, scheme_cls):
+        shared = _SharedTrace(speculation_pack)
+        expected_seqs = {
+            "on_compare_rename": [
+                seq for seq, de in zip(shared.seqs, shared.row_decodes) if de.kind == 2
+            ],
+            "on_predicated_rename": [
+                seq
+                for seq, de in zip(shared.seqs, shared.row_decodes)
+                if de.kind == 0 and de.is_predicated
+            ],
+        }
+        if scheme_cls is _FetchCountingScheme:
+            expected_seqs["on_fetch"] = list(shared.seqs)
+        assert not stream_eligible(scheme_cls())
+
+        lane_scheme = scheme_cls()
+        machine = MACHINES[0]
+        (result,) = simulate_lanes(
+            speculation_pack,
+            [LaneSpec(lambda: lane_scheme, machine.build_config())],
+            program_name="speculation",
+        )
+        assert lane_scheme.seqs == expected_seqs
+        assert lane_scheme.calls == Counter({k: len(v) for k, v in expected_seqs.items()})
+
+        scalar_scheme = scheme_cls()
+        expected = _scalar_fast(speculation_pack, scalar_scheme, machine)
+        assert scalar_scheme.seqs == expected_seqs
+        _assert_result_parity(expected, result, scheme_cls.__name__)
+        # Observing hooks change nothing: same counters as the plain scheme.
+        plain = _scalar_fast(speculation_pack, SchemeSpec.make("conventional"), machine)
+        assert result.metrics.summary() == plain.metrics.summary()
 
 
 class TestLaneBank:

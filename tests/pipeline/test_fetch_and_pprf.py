@@ -54,6 +54,24 @@ class TestFetchEngine:
         refetched = fetch.refetch_current(trace[0], resume_cycle=first + 50)
         assert refetched >= first + 50
 
+    def test_inline_state_round_trip(self):
+        # The fast loop holds fetch state in locals (-1 for None) and writes
+        # it back after each window; a checkpoint must pickle the same
+        # engine a straight FetchEngine would be.
+        fetch = FetchEngine(PipelineConfig(), memory=None)
+        assert fetch.inline_state() == (0, 0, -1, -1)
+        fetch.set_inline_state(*fetch.inline_state())
+        assert fetch._last_block is None and fetch._pending_redirect is None
+
+        trace = _trace(30)
+        fetch.fetch(trace[0])
+        fetch.redirect(500)
+        copy = FetchEngine(PipelineConfig(), memory=None)
+        copy.set_inline_state(*fetch.inline_state())
+        for slot in ("_group_cycle", "_group_slots", "_last_block", "_pending_redirect"):
+            assert getattr(copy, slot) == getattr(fetch, slot)
+        assert [copy.fetch(dyn) for dyn in trace[1:]] == [fetch.fetch(dyn) for dyn in trace[1:]]
+
 
 class TestPPRF:
     def test_allocation_maps_logical_register(self):

@@ -8,12 +8,21 @@ state after every step.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister, LocalHistoryTable
-from repro.predictors.perceptron import PerceptronConfig, PerceptronPredictor
+from repro.predictors.perceptron import (
+    PerceptronConfig,
+    PerceptronPredictor,
+    flat_perceptron_output,
+    flat_perceptron_train,
+    perceptron_output,
+    perceptron_train,
+)
 from repro.predictors.predicate_aware import (
     PredicateAwareConfig,
     PredicateAwarePredictor,
@@ -97,6 +106,132 @@ class TestPredicatePerceptronParity:
             optimized.update_slot(pc, slot, history, outcome)
             index = reference.index_for_slot(pc, slot)
             assert optimized.weight_row(index) == reference.weight_row(index)
+
+
+def _interleaved(rng: random.Random, steps: int = 300):
+    """Interleaved predictor accesses: ``(train?, site, slot, history,
+    outcome, pick)`` per step.
+
+    A train completes one of the outstanding predictions (``pick`` chooses
+    which), so other sites predict and train the same rows in between; with
+    no prediction outstanding it trains cold.  Outcomes lean taken (3 in
+    4), so weights grow past the training threshold and whether a row
+    trains depends on its output.
+    """
+    return [
+        (
+            rng.random() < 0.5,
+            rng.randrange(3),
+            rng.randrange(2),
+            rng.randrange(4),
+            rng.random() < 0.75,
+            rng.randrange(8),
+        )
+        for _ in range(steps)
+    ]
+
+
+class TestPredicatePerceptronOutputReuse:
+    """The optimized backend reuses predict-time outputs at training time.
+
+    Tiny tables make every kind of aliasing routine: one or two 1-bit
+    local histories (both slots of a compare share one), one to three PVT
+    rows shared by three compares, and 2-bit global histories, so equal
+    combined histories recur.  6-bit weights let outputs cross the training
+    threshold, so a stale output would change a training decision.  Each
+    step must leave both backends with identical predictions and table
+    state.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        entries=st.integers(min_value=1, max_value=3),
+        local_entries=st.integers(min_value=1, max_value=2),
+    )
+    def test_interleaved_predict_and_train_match_reference(self, seed, entries, local_entries):
+        config = PredicatePredictorConfig(
+            global_bits=2,
+            local_bits=1,
+            weight_bits=6,
+            entries=entries,
+            local_history_entries=local_entries,
+        )
+        reference = PredicatePerceptronPredictor(config, optimized=False)
+        optimized = PredicatePerceptronPredictor(config, optimized=True)
+        pcs = (0x40, 0x80, 0xC4)
+        outstanding = []
+        for train, compare, slot, history, outcome, pick in _interleaved(random.Random(seed)):
+            pc = pcs[compare]
+            if train:
+                if outstanding:
+                    pc, slot, history = outstanding.pop(pick % len(outstanding))
+                reference.update_slot(pc, slot, history, outcome)
+                optimized.update_slot(pc, slot, history, outcome)
+            else:
+                assert optimized.predict_slot(pc, slot, history) == reference.predict_slot(
+                    pc, slot, history
+                )
+                outstanding.append((pc, slot, history))
+            assert optimized.table_state() == reference.table_state()
+
+
+class TestPerceptronOutputReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        entries=st.integers(min_value=1, max_value=3),
+    )
+    def test_interleaved_predict_and_update_match_reference(self, seed, entries):
+        config = PerceptronConfig(
+            global_bits=2, local_bits=1, weight_bits=6, entries=entries, local_history_entries=2
+        )
+        reference = PerceptronPredictor(config, optimized=False)
+        optimized = PerceptronPredictor(config, optimized=True)
+        pcs = (0x40, 0x80, 0xC4)
+        outstanding = []
+        for train, site, _slot, history, outcome, pick in _interleaved(random.Random(seed)):
+            pc = pcs[site]
+            if train:
+                if outstanding:
+                    pc, history = outstanding.pop(pick % len(outstanding))
+                reference.update(pc, history, outcome)
+                optimized.update(pc, history, outcome)
+            else:
+                assert optimized.predict_with_output(pc, history) == (
+                    reference.predict_with_output(pc, history)
+                )
+                outstanding.append((pc, history))
+            assert optimized._weights == reference._weights
+            assert optimized.local_histories.state() == reference.local_histories.state()
+
+
+class TestFlatRowKernels:
+    """The flat-row kernels against the row-based reference, saturation included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        num_weights=st.integers(min_value=1, max_value=50),
+        weight_bits=st.integers(min_value=2, max_value=8),
+        outcome=st.booleans(),
+        offset=st.integers(min_value=0, max_value=3),
+    )
+    def test_output_and_train_match_reference(
+        self, data, num_weights, weight_bits, outcome, offset
+    ):
+        weight_min = -(1 << (weight_bits - 1))
+        weight_max = (1 << (weight_bits - 1)) - 1
+        weight = st.sampled_from([weight_min, weight_max]) | st.integers(weight_min, weight_max)
+        row = data.draw(st.lists(weight, min_size=num_weights, max_size=num_weights))
+        history = data.draw(st.integers(min_value=0, max_value=(1 << (num_weights - 1)) - 1))
+        flat = [0] * offset + list(row) + [0] * 2
+        assert flat_perceptron_output(flat, offset, num_weights, history) == (
+            perceptron_output(row, history)
+        )
+        perceptron_train(row, history, outcome, weight_min, weight_max)
+        flat_perceptron_train(flat, offset, num_weights, history, outcome, weight_min, weight_max)
+        assert flat == [0] * offset + row + [0] * 2
 
 
 class TestTAGEParity:
